@@ -103,6 +103,28 @@ class Processor(ExecutionContext):
         # simulation (every simulated microsecond passes through here).
         self.stats.buckets[bucket] += us
 
+    def charge_each(self, us: float, n: int, bucket: str) -> None:
+        """Exactly ``n`` successive ``charge(us, bucket)`` calls.
+
+        The clock and the bucket take ``n`` separate float additions,
+        not one of ``us * n``, so both stay bit-identical to the loop
+        of single charges; a traced processor records ``n`` spans.
+        """
+        if us <= 0 or n <= 0:
+            return
+        if self.trace is not None:
+            for _ in range(n):
+                self.charge(us, bucket)
+            return
+        buckets = self.stats.buckets
+        clock = self.clock
+        total = buckets[bucket]
+        for _ in range(n):
+            clock += us
+            total += us
+        self.clock = clock
+        buckets[bucket] = total
+
     def run_compute(self, cpu_us: float, mem_bytes: float) -> None:
         costs = self._costs
         if self.trace is not None:

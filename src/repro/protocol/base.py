@@ -359,8 +359,10 @@ class BaseProtocol:
             return notices, False
         lost = any(wn.lost for wn in notices)
         stalled = False
-        while board.pending():
-            deadline = max(b[0].visible_at for b in board.bins if b)
+        bins = board.bins
+        while board.busy:
+            deadline = max(bins[index][0].visible_at
+                           for index in board.busy)
             if deadline > proc.clock:
                 stalled = True
                 proc.charge(deadline - proc.clock, "comm_wait")
@@ -383,8 +385,9 @@ class BaseProtocol:
         A *lost* notice (injected gap) counts for every page — the page
         number never arrived, so the owner must assume the worst.
         """
-        for bin_ in self.boards[owner].bins:
-            for wn in bin_:
+        board = self.boards[owner]
+        for index in board.busy:
+            for wn in board.bins[index]:
                 if wn.lost or wn.page == page:
                     return True
         node = self.node_of_owner(owner)

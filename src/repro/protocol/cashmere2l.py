@@ -27,6 +27,7 @@ from ..vm.diffs import flush_update, incoming_diff, make_twin
 from ..vm.page import Perm
 from .base import PAGE_HEADER_BYTES, BaseProtocol, ProcProtoState
 from .directory import NO_HOLDER, PageMeta
+from .writenotice import post_notices
 
 
 class NodeState2L:
@@ -369,16 +370,29 @@ class Cashmere2L(BaseProtocol):
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
                         "protocol")
         notices, gap = self._collect_notices(proc, board)
-        for wn in notices:
-            if wn.lost:
-                continue  # a gap, not a page number; handled below
-            meta = ns.meta_for(wn.page)
-            meta.wn_ts = ns.logical
-            targets = table.mapped(wn.page)
-            for lp in targets:
-                peer = self.node_of_owner(st.owner).processors[lp]
-                if self._ps[peer.global_id].notices.add(wn.page):
-                    proc.charge(costs.llsc_lock, "protocol")
+        if notices:
+            # Each notice goes to the second-level list of every local
+            # processor mapping the page; each new entry costs one
+            # ll/sc lock. Nothing else charges in this loop, so one
+            # charge_each after it equals a charge per add.
+            ps = self._ps
+            peer_notices = [ps[peer.global_id].notices
+                            for peer in self.node_of_owner(
+                                st.owner).processors]
+            rows = table.rows
+            meta_for = ns.meta_for
+            logical = ns.logical
+            read = int(Perm.READ)
+            added = 0
+            for wn in notices:
+                if wn.lost:
+                    continue  # a gap, not a page number; handled below
+                page = wn.page
+                meta_for(page).wn_ts = logical
+                for lp, perm in enumerate(rows[page]):
+                    if perm >= read and peer_notices[lp].add(page):
+                        added += 1
+            proc.charge_each(costs.llsc_lock, added, "protocol")
         if gap:
             self._recover_lost_notices(proc, st, ns)
 
@@ -588,13 +602,15 @@ class Cashmere2L(BaseProtocol):
             proc.charge(self.directory.lock_model.update_cost(proc.clock),
                         "protocol")
         visible = self.mc.visibility(proc.clock)
-        for owner in entry.sharers():
-            if owner == st.owner or owner == home:
-                continue
-            self.boards[owner].post(st.owner, page, visible)
-            proc.charge(self.costs.mc_word_write, "protocol")
-            proc.stats.bump("write_notices")
-            self.mc.account("write_notice", 4)
+        owners = [owner for owner in entry.sharers()
+                  if owner != st.owner and owner != home]
+        if not owners:
+            return
+        post_notices(self.boards, owners, st.owner, page, visible)
+        n = len(owners)
+        proc.charge_each(self.costs.mc_word_write, n, "protocol")
+        proc.stats.bump("write_notices", n)
+        self.mc.account("write_notice", 4 * n)
 
     def _downgrade_self(self, proc: Processor, st: ProcProtoState,
                         page: int) -> None:

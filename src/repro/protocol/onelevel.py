@@ -38,6 +38,7 @@ from ..vm.diffs import incoming_diff, make_twin, outgoing_diff, apply_diff
 from ..vm.page import Perm
 from .base import PAGE_HEADER_BYTES, BaseProtocol, ProcProtoState
 from .directory import NO_HOLDER
+from .writenotice import post_notices
 
 
 class _OwnerMeta:
@@ -318,27 +319,35 @@ class OneLevelProtocol(BaseProtocol):
         st = self._ps[proc.global_id]
         board = self.boards[st.owner]
         notices, gap = self._collect_notices(proc, board)
+        costs = self.costs
         if notices:
             # 1-level write-notice lists are guarded by cluster-wide locks.
-            proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
+            proc.charge(costs.mc_lock_overhead + costs.mc_latency,
                         "protocol")
-        for wn in notices:
-            if wn.lost:
-                continue  # a gap, not a page number; handled below
-            st.notices.add(wn.page)
+            add = st.notices.add
+            for wn in notices:
+                if not wn.lost:  # a gap has no page number; handled below
+                    add(wn.page)
         if gap:
             self._recover_lost_notices(proc, st)
-        for page in st.notices.drain():
-            if self._uses_master(st, page):
+        pages = st.notices.drain()
+        if not pages:
+            return
+        table = self.tables[st.owner]
+        rows = table.rows
+        frames = st.frames
+        masters = self.masters
+        twins = self.meta[st.owner].twins
+        for page in pages:
+            if frames.get(page) is masters[page]:
                 continue  # home-node optimization: master is always fresh
-            table = self.tables[st.owner]
-            if table.perm(page, 0) == Perm.INVALID:
+            if rows[page][0] == Perm.INVALID:
                 continue
             # Invalidate and leave the page's sharing set.
             table.set_perm(page, 0, Perm.INVALID)
-            proc.charge(self.costs.mprotect, "protocol")
+            proc.charge(costs.mprotect, "protocol")
             self._set_node_perm_word(proc, page, Perm.INVALID)
-            if page not in self.meta[st.owner].twins:
+            if page not in twins:
                 self.frames.unmap_frame(st.owner, page)
 
     def _recover_lost_notices(self, proc: Processor,
@@ -417,18 +426,19 @@ class OneLevelProtocol(BaseProtocol):
 
         # Write notices to sharers that do not already hold one.
         if sharers:
-            proc.charge(self.costs.mc_lock_overhead + self.costs.mc_latency,
+            costs = self.costs
+            proc.charge(costs.mc_lock_overhead + costs.mc_latency,
                         "protocol")  # cluster-wide write-notice lock
-            visible = self.mc.visibility(proc.clock)
-            for owner in sharers:
-                # Note: the home *processor* gets notices too — its working
-                # copy is distinct from the master region (Section 2.6);
-                # only a processor actually mapping the master (home-node
-                # optimization) skips invalidation, on the receive side.
-                self.boards[owner].post(st.owner, page, visible)
-                proc.charge(self.costs.mc_word_write, "protocol")
-                proc.stats.bump("write_notices")
-                self.mc.account("write_notice", 4)
+            # Note: the home *processor* gets notices too — its working
+            # copy is distinct from the master region (Section 2.6); only
+            # a processor actually mapping the master (home-node
+            # optimization) skips invalidation, on the receive side.
+            post_notices(self.boards, sharers, st.owner, page,
+                         self.mc.visibility(proc.clock))
+            n = len(sharers)
+            proc.charge_each(costs.mc_word_write, n, "protocol")
+            proc.stats.bump("write_notices", n)
+            self.mc.account("write_notice", 4 * n)
         else:
             # No other sharers: the page enters exclusive mode and leaves
             # coherence until another processor asks for it. A pending

@@ -11,6 +11,10 @@ Notices carry the Memory Channel visibility time of the write that posted
 them: an acquiring processor only consumes the prefix of each bin that
 has become visible by its local clock, exactly like the hardware's
 in-order delivery.
+
+A release posts one page's notice to every sharing owner at once
+(:func:`post_notices`), and each board keeps the set of its non-empty
+bins, so a collect visits only the bins that hold something.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class NoticeBoard:
         self.owner = owner
         self.bins: list[deque[WriteNotice]] = [deque()
                                                for _ in range(num_owners)]
+        #: Indices of the non-empty bins (the busy-bin index).
+        self.busy: set[int] = set()
         self.posted = 0
-        self._consumed = 0
         #: Notices that arrived as gaps (injected losses), for tests.
         self.lost = 0
 
@@ -77,6 +82,7 @@ class NoticeBoard:
                 visible_at += extra
         self.bins[from_owner].append(
             WriteNotice(page, from_owner, visible_at, lost))
+        self.busy.add(from_owner)
         self.posted += 1
         if self.trace is not None:
             if lost:
@@ -100,10 +106,15 @@ class NoticeBoard:
         took the poster's lock miss the invalidation and read a stale
         page (a lost update the race checker later flags).
         """
-        if self._consumed == self.posted:
+        busy = self.busy
+        if not busy:
             return _EMPTY_NOTICES
+        bins = self.bins
         found: list[WriteNotice] = []
-        for bin_ in self.bins:
+        # Ascending bin index: the same delivery order as a scan of
+        # every bin, without visiting the empty ones.
+        for index in sorted(busy):
+            bin_ = bins[index]
             # Fast path: the (common) monotone prefix.
             while bin_ and bin_[0].visible_at <= upto:
                 found.append(bin_.popleft())
@@ -114,11 +125,37 @@ class NoticeBoard:
                     bin_.clear()
                     bin_.extend(unripe)
                     found.extend(ripe)
-        self._consumed += len(found)
+            if not bin_:
+                busy.discard(index)
         return found
 
     def pending(self) -> int:
-        return sum(len(b) for b in self.bins)
+        bins = self.bins
+        return sum(len(bins[index]) for index in self.busy)
+
+
+def post_notices(boards: list[NoticeBoard], owners, from_owner: int,
+                 page: int, visible_at: float) -> None:
+    """Post ``page``'s notice from ``from_owner`` to each of ``owners``.
+
+    Equal to ``boards[o].post(from_owner, page, visible_at)`` for each
+    ``o`` in ``owners``, in that order: the one fan-out a release makes
+    per flushed page. Boards without an injector or tracer take the
+    fast path and share one immutable notice. A board with either goes
+    through :meth:`NoticeBoard.post`, so the injector draws its fates
+    in the same owner order and the tracer records the same instants.
+    """
+    shared = None
+    for owner in owners:
+        board = boards[owner]
+        if board.injector is not None or board.trace is not None:
+            board.post(from_owner, page, visible_at)
+            continue
+        if shared is None:
+            shared = WriteNotice(page, from_owner, visible_at)
+        board.bins[from_owner].append(shared)
+        board.busy.add(from_owner)
+        board.posted += 1
 
 
 class PerProcNotices:

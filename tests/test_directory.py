@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MachineConfig
+from repro.config import FaultConfig, MachineConfig
 from repro.errors import ProtocolError
+from repro.memchannel.faults import FaultInjector
 from repro.protocol.directory import (NO_HOLDER, DenseDirEntry,
                                       DirectoryLockModel, DirEntry, DirWord,
                                       GlobalDirectory, PageMeta)
-from repro.protocol.writenotice import NLEList, NoticeBoard, PerProcNotices
+from repro.protocol.writenotice import (NLEList, NoticeBoard, PerProcNotices,
+                                       post_notices)
+from repro.trace import Tracer
 from repro.vm.page import Perm
 
 
@@ -218,6 +221,98 @@ class TestNoticeBoard:
         got = board.collect(25.0)
         assert [(n.page, n.visible_at) for n in got] == [(1, 20.0)]
         assert board.pending() == 0
+
+
+def _board_state(board):
+    return ([list(bin_) for bin_ in board.bins], sorted(board.busy),
+            board.posted, board.lost)
+
+
+#: (from_owner, page, visible_at, receivers) releases, unordered in time
+#: within each bin, fanned out to overlapping receiver sets.
+_RELEASES = [(0, 3, 10.0, [1, 2, 3]), (2, 5, 4.0, [0, 1, 3]),
+             (0, 4, 2.0, [1, 3]), (1, 3, 7.0, [0, 2, 3]),
+             (3, 9, 1.0, [0, 1, 2]), (0, 1, 6.0, [2])]
+
+
+def _fan_out(make_boards, batched):
+    """Drive ``_RELEASES`` through ``post_notices`` or per-board posts."""
+    boards = make_boards()
+    for from_owner, page, visible_at, receivers in _RELEASES:
+        if batched:
+            post_notices(boards, receivers, from_owner, page, visible_at)
+        else:
+            for owner in receivers:
+                boards[owner].post(from_owner, page, visible_at)
+    return boards
+
+
+def _assert_same_delivery(make_boards):
+    """``post_notices`` leaves every board as per-board posts would, and
+    the boards then collect the same notices in the same order."""
+    ref = _fan_out(make_boards, batched=False)
+    got = _fan_out(make_boards, batched=True)
+    assert [_board_state(b) for b in got] == [_board_state(b) for b in ref]
+    for upto in (3.0, 6.5, 100.0):
+        assert ([b.collect(upto) for b in got]
+                == [b.collect(upto) for b in ref])
+        assert [_board_state(b) for b in got] == \
+            [_board_state(b) for b in ref]
+    return ref, got
+
+
+class TestPostNotices:
+    def test_equals_per_board_post(self):
+        ref, got = _assert_same_delivery(
+            lambda: [NoticeBoard(o, 4) for o in range(4)])
+        assert sum(b.posted for b in got) == 15
+        assert all(b.pending() == 0 and not b.busy for b in got)
+
+    def test_receivers_share_one_notice(self):
+        boards = [NoticeBoard(o, 3) for o in range(3)]
+        post_notices(boards, [1, 2], 0, page=6, visible_at=1.0)
+        assert boards[1].bins[0][0] is boards[2].bins[0][0]
+
+    def test_same_fates_with_injector_on_some_boards(self):
+        """Injected boards fall back to ``post`` in owner order, so the
+        injector draws the same fates for the same notices."""
+        injectors = []
+
+        def make_boards():
+            cfg = MachineConfig(nodes=4, procs_per_node=1, page_bytes=512,
+                                faults=FaultConfig(seed=11,
+                                                   notice_drop_rate=0.3,
+                                                   notice_delay_rate=0.3,
+                                                   notice_delay_us=5.0))
+            inj = FaultInjector(cfg)
+            injectors.append(inj)
+            boards = [NoticeBoard(o, 4) for o in range(4)]
+            boards[1].injector = inj
+            boards[3].injector = inj
+            return boards
+
+        ref, got = _assert_same_delivery(make_boards)
+        ref_inj, got_inj = injectors
+        assert got_inj._rng.getstate() == ref_inj._rng.getstate()
+        assert got_inj.summary() == ref_inj.summary()
+        assert [b.lost for b in got] == [b.lost for b in ref]
+        assert sum(b.lost for b in got) == ref_inj.notices_dropped > 0
+
+    def test_same_trace_with_tracer_attached(self):
+        tracers = []
+
+        def make_boards():
+            tracer = Tracer()
+            tracers.append(tracer)
+            boards = [NoticeBoard(o, 4) for o in range(4)]
+            boards[0].trace = tracer
+            boards[2].trace = tracer
+            return boards
+
+        _assert_same_delivery(make_boards)
+        ref_tr, got_tr = tracers
+        assert got_tr.events == ref_tr.events
+        assert len(got_tr.by_kind("write_notice")) == 7
 
 
 class TestPerProcNotices:

@@ -59,6 +59,40 @@ def test_versioned_word_monotone_reads(times):
     assert seen == sorted(seen)
 
 
+_BOARD_OPS = st.one_of(
+    st.tuples(st.just("post"), st.integers(0, 11), st.integers(0, 9),
+              st.integers(0, 50)),
+    st.tuples(st.just("collect"), st.integers(0, 60)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BOARD_OPS, max_size=60))
+def test_busy_bin_collect_matches_full_scan(ops):
+    """The busy-bin index is invisible: over any interleaving of posts
+    and collects, ``collect`` returns exactly what a scan of every bin
+    would (each bin's visible notices, bins in index order), and the
+    index names exactly the non-empty bins. Twelve bins: a set of small
+    ints iterates out of index order once one of them is 8 or more."""
+    board = NoticeBoard(owner=0, num_owners=12)
+    model: list[list[tuple[int, int, float]]] = [[] for _ in range(12)]
+    for op in ops:
+        if op[0] == "post":
+            _, from_owner, page, visible_at = op
+            board.post(from_owner, page, float(visible_at))
+            model[from_owner].append((page, from_owner, float(visible_at)))
+        else:
+            upto = float(op[1])
+            expect = []
+            for index, bin_ in enumerate(model):
+                expect += [wn for wn in bin_ if wn[2] <= upto]
+                model[index] = [wn for wn in bin_ if wn[2] > upto]
+            got = board.collect(upto)
+            assert [(wn.page, wn.from_owner, wn.visible_at)
+                    for wn in got] == expect
+        assert board.busy == {i for i, bin_ in enumerate(model) if bin_}
+        assert board.pending() == sum(len(bin_) for bin_ in model)
+
+
 class TestSuperpages:
     def test_mapping_table_budget_enforced(self):
         # With tiny superpages and many locks, the 64K-connection budget is

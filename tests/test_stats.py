@@ -1,11 +1,16 @@
 """Unit tests for statistics collection and aggregation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.machine import Cluster
+from repro.config import MachineConfig
 from repro.errors import UnknownCounterError
 from repro.sim.process import TIME_BUCKETS
 from repro.stats.counters import COUNTER_NAMES, ProcStats, RunStats
 from repro.stats.report import _fmt, format_table, kilo, pct_change
+from repro.trace import Tracer
 
 
 class TestProcStats:
@@ -56,6 +61,48 @@ class TestProcStats:
         with pytest.raises(UnknownCounterError) as exc:
             ps.bump("zzzzzzzz")
         assert "did you mean" not in str(exc.value)
+
+
+def _two_procs(start: float, prior: float):
+    """Two processors of a fresh cluster, in the same clock/bucket state."""
+    cluster = Cluster(MachineConfig(nodes=1, procs_per_node=2,
+                                    page_bytes=512))
+    procs = cluster.processors
+    for proc in procs:
+        proc.clock = start
+        proc.stats.buckets["protocol"] = prior
+    return procs
+
+
+_CHARGE_US = st.one_of(st.sampled_from([0.25, 0.4, 1 / 3, 0.1, 0.0, -1.0]),
+                       st.floats(1e-6, 1e3))
+_START = st.one_of(st.just(0.0), st.floats(0.0, 1e7))
+
+
+class TestChargeEach:
+    @settings(max_examples=300, deadline=None)
+    @given(_CHARGE_US, st.integers(0, 64), _START, _START)
+    def test_equals_repeated_charge_bit_for_bit(self, us, n, start, prior):
+        batched, single = _two_procs(start, prior)
+        batched.charge_each(us, n, "protocol")
+        for _ in range(n):
+            single.charge(us, "protocol")
+        assert batched.clock.hex() == single.clock.hex()
+        assert batched.stats.buckets["protocol"].hex() == \
+            single.stats.buckets["protocol"].hex()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([0.25, 0.4, 1 / 3]), st.integers(0, 64), _START)
+    def test_traced_records_one_span_per_charge(self, us, n, start):
+        batched, single = _two_procs(start, 0.0)
+        batched.trace, single.trace = Tracer(), Tracer()
+        batched.charge_each(us, n, "protocol")
+        for _ in range(n):
+            single.charge(us, "protocol")
+        assert len(batched.trace.by_kind("protocol")) == n
+        assert [(ev.t0, ev.dur) for ev in batched.trace.events] == \
+            [(ev.t0, ev.dur) for ev in single.trace.events]
+        assert batched.clock.hex() == single.clock.hex()
 
 
 class TestRunStats:
