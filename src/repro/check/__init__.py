@@ -15,9 +15,8 @@ correctness probe (see DESIGN.md, "Correctness checking"):
   exploration of the real protocol code, checking the same invariants
   over *every* schedule instead of one (DESIGN.md §12).
 
-Enable for whole application runs with ``MachineConfig(checking=True)``
-or the ``repro.runtime.checking()`` context manager; run the model
-checker with ``cashmere-repro modelcheck``.
+Enable for whole application runs with ``MachineConfig(checking=True)``;
+run the model checker with ``cashmere-repro modelcheck``.
 """
 
 from .context import CheckContext, attach_checker

@@ -8,9 +8,8 @@ interface the instrumented code expects (``on_load``/``on_store``/
 event of the execution is traced.
 
 The runtime (:class:`~repro.runtime.ParallelRuntime`) attaches a
-context automatically when checking is enabled — via the
-``MachineConfig.checking`` flag or the ``repro.runtime.checking()``
-context manager — and calls :meth:`finalize` after the run.
+context automatically when ``MachineConfig.checking`` is set, and
+calls :meth:`finalize` after the run.
 """
 
 from __future__ import annotations

@@ -12,22 +12,10 @@ DEC AlphaServer 2100 4/233 machines on a first-generation Memory Channel.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 
-
-def env_flag(name: str) -> bool:
-    """Whether the environment variable ``name`` is set and non-empty.
-
-    The sanctioned accessor for boolean environment switches
-    (``CASHMERE_NO_FASTPATH`` and friends): environment reads are a
-    hidden input the result-cache key cannot see, so the determinism
-    lint (rule D105, DESIGN.md §11) confines them to this module and
-    the bench/sweep entry points.
-    """
-    return bool(os.environ.get(name))
 
 #: Bytes per shared-memory word. The Alpha reads/writes 32 bits atomically,
 #: but application data is 64-bit; we simulate 64-bit words and count bytes.
@@ -271,6 +259,10 @@ class MachineConfig:
     pages. Tests and scaled experiments may shrink ``page_bytes`` (along
     with application data sets) to keep simulations fast; page-size
     dependent costs scale linearly from the 8 Kbyte measurements.
+
+    Every behaviour switch (observers, fast path, lowering, faults) is a
+    field here and nowhere else: no environment variable or process-wide
+    scope overrides one, so the sweep cache key sees every input.
     """
 
     nodes: int = 8
@@ -301,9 +293,8 @@ class MachineConfig:
     #: last-touched read/write page skip protocol dispatch entirely,
     #: validated by per-owner generation counters. Behavior-preserving —
     #: a fast-path run produces byte-identical statistics and results to
-    #: a slow-path run. Disable here, or set ``CASHMERE_NO_FASTPATH=1``
-    #: in the environment, to force every access through full dispatch
-    #: (debugging / the determinism regression tests).
+    #: a slow-path run (``tests/test_parity.py``). Disable to force
+    #: every access through full dispatch.
     fastpath: bool = True
     #: Enable the staged kernel-lowering pipeline (:mod:`repro.lower`,
     #: DESIGN.md §14): worker loop regions that are statically proven
@@ -313,11 +304,11 @@ class MachineConfig:
     #: but warm steps collapse into one numpy call with inlined time
     #: charges. Behavior-preserving: a lowered run produces
     #: byte-identical statistics and result arrays to an interpreted
-    #: one (``tests/test_lowering.py``). Automatically disabled when a
-    #: checker/tracer/metrics observer is attached, under fault
-    #: injection, for write-through protocols, or when the fast path is
-    #: off. Disable here, or set ``CASHMERE_NO_LOWERING=1``, to force
-    #: per-step interpretation.
+    #: one (``tests/test_lowering.py``, ``tests/test_parity.py``).
+    #: Automatically disabled when a checker/tracer/metrics observer is
+    #: attached, under fault injection, for write-through protocols, or
+    #: when the fast path is off. Disable to force per-step
+    #: interpretation.
     lowering: bool = True
     #: Opt-in deterministic fault injection (:mod:`repro.memchannel.faults`,
     #: DESIGN.md §12): seeded message reordering, delayed/dropped write
@@ -332,7 +323,7 @@ class MachineConfig:
     #: records deltas of the protocol counters between samples. Like
     #: ``checking``/``tracing``, strictly observational: a metered run
     #: produces byte-identical statistics and results to an unmetered
-    #: one (``tests/test_metrics.py`` asserts this under all four
+    #: one (``tests/test_parity.py`` asserts this under all four
     #: protocols), and the sampled series are themselves deterministic —
     #: the same run recorded twice yields identical series.
     metrics: bool = False

@@ -16,7 +16,7 @@ combining-tree barrier. Per rung it reports:
   combine-hop count;
 * **directory occupancy** — mean sharers per page at end of run, the
   quantity the sparse O(sharers) entries keep per-access cost flat in
-  (the dense form pays O(num_owners) per scan regardless).
+  (a one-word-per-owner layout pays O(num_owners) per scan regardless).
 
 Each cell also records the simulator's *wall clock* (the number the
 sparse directory and tree barrier optimize; cache-served cells report

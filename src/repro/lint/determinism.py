@@ -197,7 +197,7 @@ class DeterminismChecker(ast.NodeVisitor):
             if canon == "os.getenv" and not self.sanctioned:
                 self.report(
                     "D105", node.lineno, node.col_offset,
-                    "os.getenv() outside config/bench/sweep: hidden "
+                    "os.getenv() outside bench/sweep: hidden "
                     "input that the result-cache key cannot see")
         # D104: key=id in sorted()/min()/max()/.sort().
         for kw in node.keywords:
@@ -229,7 +229,7 @@ class DeterminismChecker(ast.NodeVisitor):
                 and self._canonical(node) == "os.environ":
             self.report(
                 "D105", node.lineno, node.col_offset,
-                "os.environ read outside config/bench/sweep: hidden "
+                "os.environ read outside bench/sweep: hidden "
                 "input that the result-cache key cannot see")
         self.generic_visit(node)
 
@@ -238,7 +238,7 @@ class DeterminismChecker(ast.NodeVisitor):
                 and self.names.get(node.id) == "os.environ":
             self.report(
                 "D105", node.lineno, node.col_offset,
-                "os.environ read outside config/bench/sweep: hidden "
+                "os.environ read outside bench/sweep: hidden "
                 "input that the result-cache key cannot see")
 
     # --- D103: iteration over sets --------------------------------------

@@ -87,7 +87,7 @@ _ALL_RULES = (
          "id() used as a dict/collection key or sort key: identity "
          "values differ between runs"),
     Rule("D105", "env-read", "det", "error",
-         "environment variable read outside config/bench/sweep: hidden "
+         "environment variable read outside bench/sweep: hidden "
          "input that the result-cache key cannot see"),
     Rule("D106", "frozen-mutation", "det", "error",
          "mutation of a frozen spec/config object: cache keys assume "
@@ -121,7 +121,7 @@ RULES: dict[str, Rule] = {r.id: r for r in _ALL_RULES}
 
 #: Module basenames in which wall-clock and environment reads are
 #: sanctioned (the audited entry points; see DESIGN.md §11).
-SANCTIONED_MODULES = frozenset({"bench.py", "sweep.py", "config.py"})
+SANCTIONED_MODULES = frozenset({"bench.py", "sweep.py"})
 
 #: Sanctioned *packages*, matched against the file's displayed path
 #: (forward-slash segments): every module under these directories may

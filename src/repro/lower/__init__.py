@@ -31,10 +31,10 @@ Byte identity with the interpreter is the design invariant, not a
 best-effort goal: ``tests/test_lowering.py`` asserts identical
 ``RunStats`` (every counter, bucket, and the exec time bit pattern) and
 identical result arrays for SOR, Water, and LU under all four protocols.
-The escape hatch is ``CASHMERE_NO_LOWERING=1`` (or
-``MachineConfig(lowering=False)``); the checker, tracer, metrics
-collector, and fault injection all force per-step interpretation
-automatically because they observe the per-access paths a batch skips.
+The one switch is ``MachineConfig(lowering=False)``; the checker,
+tracer, metrics collector, and fault injection all force per-step
+interpretation automatically because they observe the per-access paths
+a batch skips.
 """
 
 from .analyze import RegionReport, analyze_region, check_kernel_class

@@ -5,7 +5,7 @@ A :class:`RegionKernel` packages one sync-free worker loop region twice:
 * ``interp(env)`` — the original per-step generator loop, byte-identical
   to the pre-lowering worker code. This is the ground truth: the
   fallback the runtime uses whenever lowering is off (observers, fault
-  injection, write-through protocols, ``CASHMERE_NO_LOWERING``) and the
+  injection, write-through protocols, ``MachineConfig.lowering``) and the
   reference the parity tests diff the batched path against. Stage 1
   (:mod:`.analyze`) proves this body sync-free once per class.
 * the **descriptor** — per-step ordered first-touch page lists

@@ -4,8 +4,8 @@ simulated time, plus a sqlite-backed run store and trend dashboard.
 Three layers (DESIGN.md §13):
 
 * :mod:`repro.metrics.collector` — a :class:`MetricsCollector` attached
-  to a configured execution (``MachineConfig(metrics=True)`` or the
-  ``repro.runtime.metering()`` context manager). Driven by the
+  to a configured execution (``MachineConfig(metrics=True)``). Driven
+  by the
   simulator's ``on_advance`` hook, it samples gauges (directory
   occupancy, page-state histogram, Memory Channel utilization,
   request-queue depths, software-TLB hit rate) at fixed simulated-time

@@ -13,8 +13,9 @@ All subcommands share ``--db PATH`` (default: ``$CASHMERE_METRICS_DB``
 or ``./metrics.db``). ``bench`` runs the wall-clock benchmark suite and
 ingests the report; ``run`` executes one application with time-series
 sampling and stores its series; ``import`` ingests committed
-``BENCH_*.json`` documents (both the ``cashmere-bench-1`` and ``-2``
-schemas) so historical runs join the trend. ``report`` prints the
+``BENCH_*.json`` documents (every schema in
+:data:`~repro.metrics.store.BENCH_SCHEMAS`, ``cashmere-bench-1`` to
+``-3``) so historical runs join the trend. ``report`` prints the
 terminal trend/regression table and **exits 1** when a gated wall-clock
 counter regressed beyond ``--gate`` (default 2x) — this is the CI hook.
 ``html`` writes the self-contained dashboard.

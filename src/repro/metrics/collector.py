@@ -2,8 +2,7 @@
 
 A :class:`MetricsCollector` is attached to a configured execution by
 :func:`attach_metrics` (the parallel runtime does this when metrics are
-enabled via ``MachineConfig(metrics=True)`` or the
-``repro.runtime.metering()`` context manager). It rides the simulator's
+enabled via ``MachineConfig(metrics=True)``). It rides the simulator's
 ``on_advance`` hook: whenever the simulated clock crosses a sampling
 boundary ``k * interval_us`` the collector records
 

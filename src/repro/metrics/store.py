@@ -161,8 +161,8 @@ class RunStore:
         from ..experiments.sweep import config_key, source_digest
         if result.metrics is None:
             raise StoreError(
-                "run has no metrics; enable MachineConfig.metrics or "
-                "run under repro.metering()")
+                "run has no metrics; run it with "
+                "MachineConfig(metrics=True)")
         rt = result.runtime
         stats = result.stats
         payload = result.metrics.to_payload()

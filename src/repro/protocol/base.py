@@ -73,6 +73,8 @@ class BaseProtocol:
     name: str = "?"
     #: True when owners are SMP nodes (two-level protocols).
     two_level: bool = True
+    #: True for 1L: merge via in-line write doubling instead of diffs.
+    write_through: bool = False
 
     def __init__(self, cluster: Cluster, *, lock_free: bool = True,
                  home_opt: bool = False) -> None:
@@ -99,7 +101,7 @@ class BaseProtocol:
         #: FaultInjector`), installed by the cluster when
         #: ``MachineConfig.faults`` is set; ``None`` keeps every protocol
         #: path exactly as it was.
-        self.injector = getattr(cluster, "fault_injector", None)
+        self.injector = cluster.fault_injector
         #: Whether injected faults can perturb write-notice delivery
         #: (late, lost, or jittered past an acquire); gates the
         #: wait-out/resync recovery in :meth:`_collect_notices` so

@@ -49,7 +49,7 @@ class RequestEngine:
         self._rr: dict[int, int] = {}  # per-node round-robin poll winner
         #: Fault injector, when the cluster runs with fault injection
         #: (``None`` keeps the request path exactly as it was).
-        self.injector = getattr(cluster, "fault_injector", None)
+        self.injector = cluster.fault_injector
 
     def _pick_server(self, node: Node, target_proc: int | None) -> Processor:
         """The processor that notices the request first.

@@ -54,8 +54,6 @@ class OneLevelProtocol(BaseProtocol):
     """Common one-level machinery (subclasses pick the merge mechanism)."""
 
     two_level = False
-    #: True for 1L: merge via in-line write doubling instead of diffs.
-    write_through = False
 
     def __init__(self, cluster, *, lock_free: bool = True,
                  home_opt: bool = False) -> None:
@@ -463,7 +461,6 @@ class Cashmere1LD(OneLevelProtocol):
     """One-level protocol with twins and outgoing diffs."""
 
     name = "1LD"
-    write_through = False
 
 
 class Cashmere1L(OneLevelProtocol):

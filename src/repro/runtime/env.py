@@ -71,21 +71,20 @@ class WorkerEnv:
         #: on WRITE -> READ downgrades, e.g. at barrier-arrival flushes).
         self._gen = st.gen
         self._wgencnt = st.wgen
-        fast = getattr(runtime, "fastpath", True) and proto.tracer is None
+        fast = runtime.fastpath and proto.tracer is None
         #: Read cache: off when the correctness checker is attached (it
         #: must observe every per-word access).
         self._fast_read = fast
         #: Write cache: additionally off under write-through (1L), whose
         #: ``store`` must keep doubling every write to the master copy.
-        self._fast_write = fast and not getattr(proto, "write_through",
-                                                False)
+        self._fast_write = fast and not proto.write_through
         #: Kernel lowering (:mod:`repro.lower`): the runtime switch
         #: already folds in the observers and fault injection; the
         #: fast-path requirements fold in the tracer and write-through
         #: protocols (1L must keep doubling every store to the master,
         #: so its writes cannot be batched into direct frame stores).
-        self._lowering = (getattr(runtime, "lowering", False)
-                          and self._fast_read and self._fast_write)
+        self._lowering = (runtime.lowering and self._fast_read
+                          and self._fast_write)
         #: Hoisted adaptive-policy state (per env, per kernel class):
         #: region entries remaining before the next interpreted schedule
         #: re-probes the batched executor. Populated only for kernel
@@ -114,7 +113,7 @@ class WorkerEnv:
         #: two-element ``[hits, misses]`` list bumped by the counting
         #: closure variants below. None (and no counting code exists)
         #: unless a collector is attached.
-        mcoll = getattr(runtime, "metrics", None)
+        mcoll = runtime.metrics
         self._tlb = None if mcoll is None else mcoll.tlb
         self._build_fastpaths()
 

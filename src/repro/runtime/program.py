@@ -26,8 +26,7 @@ from ..stats.counters import RunStats
 from ..sync import Barrier, FlagSet, MCLock
 from ..metrics import MetricsCollector, attach_metrics
 from ..trace import Tracer, attach_tracer
-from .api import (SharedSegment, checking_enabled, fastpath_enabled,
-                  lowering_enabled, metrics_enabled, tracing_enabled)
+from .api import SharedSegment
 from .env import WorkerEnv
 from .sequential import run_sequential
 from ..sim.process import ProcessGroup
@@ -59,19 +58,19 @@ class ParallelRuntime:
                 hasattr(self.protocol, "word_double_us"):
             self.protocol.word_double_us = app.write_double_us
         #: Correctness checker (:class:`repro.check.CheckContext`), when
-        #: enabled via ``config.checking`` or ``runtime.api.checking()``.
+        #: ``config.checking`` is set.
         self.checker = None
-        if checking_enabled(self.config):
+        if self.config.checking:
             self.checker = attach_checker(self.cluster, self.protocol)
-        #: Event tracer (:class:`repro.trace.Tracer`), when enabled via
-        #: ``config.tracing`` or ``runtime.api.tracing()``.
+        #: Event tracer (:class:`repro.trace.Tracer`), when
+        #: ``config.tracing`` is set.
         self.trace: Tracer | None = None
-        if tracing_enabled(self.config):
+        if self.config.tracing:
             self.trace = attach_tracer(self.cluster, self.protocol)
         #: Metrics collector (:class:`repro.metrics.MetricsCollector`),
-        #: when enabled via ``config.metrics`` or ``runtime.api.metering()``.
+        #: when ``config.metrics`` is set.
         self.metrics: MetricsCollector | None = None
-        if metrics_enabled(self.config):
+        if self.config.metrics:
             self.metrics = attach_metrics(self.cluster, self.protocol,
                                           tracer=self.trace)
         #: Inline page-access cache switch, consulted by WorkerEnv. The
@@ -79,14 +78,14 @@ class ParallelRuntime:
         #: *before* run() builds the worker environments, so each
         #: WorkerEnv sees the final observer configuration when it
         #: decides on the fast path.
-        self.fastpath = fastpath_enabled(self.config)
+        self.fastpath = self.config.fastpath
         #: Kernel-lowering switch, consulted by WorkerEnv.run_region().
         #: Observers force per-step interpretation (they hook the
         #: per-access protocol paths a batched region would skip), as
         #: does fault injection (a lowered batch could not be preempted
         #: by an injected event at the right instant). Like ``fastpath``
         #: this is decided after every observer is attached.
-        self.lowering = (lowering_enabled(self.config) and self.fastpath
+        self.lowering = (self.config.lowering and self.fastpath
                          and self.checker is None and self.trace is None
                          and self.metrics is None
                          and self.config.faults is None)

@@ -71,8 +71,8 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         self.schedule(self.now + delay, fn)
 
-    def run(self, until: float | None = None) -> float:
-        """Process events (optionally only up to time ``until``).
+    def run(self) -> float:
+        """Process events until the queue drains.
 
         Returns the simulated time of the last processed event. When the
         queue drains, ``idle_check`` is consulted once; it may either raise
@@ -84,96 +84,54 @@ class Simulator:
         queue = self._queue  # stable list object; hoisted for the hot loop
         heappop = heapq.heappop
         try:
-            if self.chooser is not None:
-                return self._run_chosen(until)
-            if self.on_advance is not None:
-                return self._run_observed(until)
-            if until is None:
-                # Unbounded run (the overwhelmingly common case): no
-                # per-event deadline check.
-                while True:
-                    if not queue:
-                        if self.idle_check is not None:
-                            self.idle_check()
-                        if not queue:
-                            break
-                    at, _, fn = heappop(queue)
-                    self.now = at
-                    fn()
-                return self.now
+            if self.chooser is not None or self.on_advance is not None:
+                return self._run_hooked()
             while True:
                 if not queue:
                     if self.idle_check is not None:
                         self.idle_check()
                     if not queue:
                         break
-                at, _, fn = queue[0]
-                if at > until:
-                    break
-                heappop(queue)
+                at, _, fn = heappop(queue)
                 self.now = at
                 fn()
             return self.now
         finally:
             self._running = False
 
-    def _run_observed(self, until: float | None) -> float:
-        """The :meth:`run` loop with the time-advance hook. Kept out of
-        line (like :meth:`_run_chosen`) so the default path pays nothing
-        for the hook's existence."""
-        queue = self._queue
-        heappop = heapq.heappop
-        advance = self.on_advance
-        while True:
-            if not queue:
-                if self.idle_check is not None:
-                    self.idle_check()
-                if not queue:
-                    break
-            at, _, fn = queue[0]
-            if until is not None and at > until:
-                break
-            heappop(queue)
-            if at > self.now:
-                advance(at)
-            self.now = at
-            fn()
-        return self.now
-
-    def _run_chosen(self, until: float | None) -> float:
-        """The :meth:`run` loop with the choice-point hook consulted on
-        same-instant ties. Kept out of line so the default path pays
-        nothing for the hook's existence. Also consults ``on_advance``
-        when both hooks are installed (fault injection plus metrics)."""
+    def _run_hooked(self) -> float:
+        """The :meth:`run` loop with the ``on_advance`` and ``chooser``
+        hooks, either or both installed (metrics, fault injection, or
+        both). Same-instant ties are gathered only when a chooser is set.
+        Kept out of line so the default loop pays nothing for the hooks'
+        existence."""
         queue = self._queue
         heappop, heappush = heapq.heappop, heapq.heappush
         advance = self.on_advance
+        chooser = self.chooser
         while True:
             if not queue:
                 if self.idle_check is not None:
                     self.idle_check()
                 if not queue:
                     break
-            at = queue[0][0]
-            if until is not None and at > until:
-                break
-            ties = [heappop(queue)]
-            while queue and queue[0][0] == at:
-                ties.append(heappop(queue))
-            if len(ties) > 1:
-                idx = self.chooser(len(ties))
+            event = heappop(queue)
+            at = event[0]
+            if chooser is not None and queue and queue[0][0] == at:
+                ties = [event]
+                while queue and queue[0][0] == at:
+                    ties.append(heappop(queue))
+                idx = chooser(len(ties))
                 if not 0 <= idx < len(ties):
                     raise SimulationError(
                         f"chooser returned {idx} for {len(ties)} ties")
-                chosen = ties.pop(idx)
+                event = ties.pop(idx)
                 for ev in ties:
                     heappush(queue, ev)
-            else:
-                chosen = ties[0]
             if advance is not None and at > self.now:
                 advance(at)
             self.now = at
-            chosen[2]()
+            event[2]()
         return self.now
 
     @property

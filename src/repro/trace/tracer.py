@@ -2,8 +2,7 @@
 
 A :class:`Tracer` is attached to a configured execution by
 :func:`attach_tracer` (the parallel runtime does this when tracing is
-enabled via ``MachineConfig(tracing=True)`` or the
-``repro.runtime.tracing()`` context manager). Instrumented code holds a
+enabled via ``MachineConfig(tracing=True)``). Instrumented code holds a
 ``trace`` attribute that is ``None`` by default; every instrumentation
 site is guarded by ``if trace is not None`` so a run without tracing
 executes exactly the code it executed before tracing existed.
@@ -12,7 +11,7 @@ Like the correctness checker (:mod:`repro.check`), tracing is strictly
 observational: emitting an event never charges time, never touches
 protocol or simulator state, and never perturbs ``RunStats`` — a traced
 run and an untraced run of the same program produce identical statistics
-(``tests/test_trace.py`` asserts this under all four protocols).
+(``tests/test_parity.py`` asserts this under all four protocols).
 
 The buffer is bounded (default ~2M events): when full, the *oldest*
 events are dropped, keeping the tail of the execution — the usual region

@@ -1,11 +1,10 @@
 """Unit tests for the global directory and write-notice structures.
 
-The directory now has two entry representations (DESIGN.md §15): the
-sparse :class:`DirEntry` (default, O(sharers)) and the dense
-:class:`DenseDirEntry` (the paper's literal one-word-per-owner layout,
-kept behind ``CASHMERE_DENSE_DIR`` for differential testing). The
-hypothesis differential test at the bottom drives both through
-randomized update sequences and asserts they agree on every observable.
+The directory stores sparse :class:`DirEntry` objects (DESIGN.md §15,
+O(sharers)). The hypothesis differential test drives one alongside the
+test-only reference entry (:mod:`tests.refdir`, the paper's literal
+one-word-per-owner layout) through randomized update sequences and
+asserts they agree on every observable.
 """
 
 import pytest
@@ -15,13 +14,14 @@ from hypothesis import strategies as st
 from repro.config import FaultConfig, MachineConfig
 from repro.errors import ProtocolError
 from repro.memchannel.faults import FaultInjector
-from repro.protocol.directory import (NO_HOLDER, DenseDirEntry,
-                                      DirectoryLockModel, DirEntry, DirWord,
-                                      GlobalDirectory, PageMeta)
+from repro.protocol.directory import (NO_HOLDER, DirectoryLockModel,
+                                      DirEntry, GlobalDirectory, PageMeta)
 from repro.protocol.writenotice import (NLEList, NoticeBoard, PerProcNotices,
                                        post_notices)
 from repro.trace import Tracer
 from repro.vm.page import Perm
+
+from .refdir import RefDirEntry, use_reference_entries
 
 
 def small_config(**kw):
@@ -33,9 +33,9 @@ def small_config(**kw):
 
 
 def entry_pair(num_owners=4):
-    """A fresh (sparse, dense) entry pair over the same owner space."""
+    """A fresh (sparse, reference) entry pair over the same owner space."""
     return (DirEntry(home_owner=0),
-            DenseDirEntry(home_owner=0, num_owners=num_owners))
+            RefDirEntry(home_owner=0, num_owners=num_owners))
 
 
 class TestDirEntry:
@@ -70,13 +70,6 @@ class TestDirEntry:
         with pytest.raises(ProtocolError, match="corrupt"):
             entry.set_excl(2, 2)
 
-    def test_dense_preset_words_corruption(self):
-        entry = DenseDirEntry(home_owner=0,
-                              words=[DirWord(Perm.WRITE, 1),
-                                     DirWord(Perm.WRITE, 2)])
-        with pytest.raises(ProtocolError, match="corrupt"):
-            entry.exclusive_holder()
-
     def test_clear_excl_wrong_owner_is_noop(self):
         for entry in entry_pair():
             entry.set_excl(1, 7)
@@ -93,12 +86,6 @@ class TestGlobalDirectory:
         homes = [d.home(p) for p in range(cfg.num_pages)]
         # pages 0,1 -> owner 0; 2,3 -> owner 1; ...
         assert homes[:8] == [0, 0, 1, 1, 2, 2, 3, 3]
-
-    def test_dense_flag_selects_representation(self):
-        cfg = small_config()
-        assert isinstance(GlobalDirectory(cfg, 4).entry(0), DirEntry)
-        assert isinstance(GlobalDirectory(cfg, 4, dense=True).entry(0),
-                          DenseDirEntry)
 
     def test_lock_free_update_cost_constant(self):
         cfg = small_config()
@@ -121,10 +108,12 @@ class TestGlobalDirectory:
         cfg = small_config()
         assert GlobalDirectory(cfg, 8).broadcast_bytes() == 32
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_occupancy(self, dense):
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_occupancy(self, reference):
         cfg = small_config()
-        d = GlobalDirectory(cfg, 4, dense=dense)
+        d = GlobalDirectory(cfg, 4)
+        if reference:
+            use_reference_entries(d)
         d.entry(0).set_perm(1, Perm.READ)
         d.entry(0).set_perm(2, Perm.READ)
         d.entry(1).set_perm(3, Perm.WRITE)
@@ -136,7 +125,7 @@ class TestGlobalDirectory:
 
 
 # ---------------------------------------------------------------------------
-# Differential property: sparse vs dense across random update sequences.
+# Differential property: sparse vs reference across random update sequences.
 # ---------------------------------------------------------------------------
 
 N_OWNERS = 6
@@ -165,14 +154,15 @@ def _observe(entry):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_ops, max_size=40))
 def test_sparse_and_dense_entries_agree(ops):
-    """Any update sequence leaves the two forms indistinguishable: same
-    permissions, sharer sets, holders, occupancy, and state digests —
-    including raising corruption errors at exactly the same step."""
+    """Any update sequence leaves the sparse entry and the reference
+    entry indistinguishable: same permissions, sharer sets, holders,
+    occupancy, and state digests — including raising corruption errors
+    at exactly the same step."""
     sparse = DirEntry(home_owner=0)
-    dense = DenseDirEntry(home_owner=0, num_owners=N_OWNERS)
+    ref = RefDirEntry(home_owner=0, num_owners=N_OWNERS)
     for op, owner, arg in ops:
         results = []
-        for entry in (sparse, dense):
+        for entry in (sparse, ref):
             try:
                 getattr(entry, op)(*((owner, arg) if op != "clear_excl"
                                      else (owner,)))
@@ -180,11 +170,11 @@ def test_sparse_and_dense_entries_agree(ops):
             except ProtocolError:
                 results.append("corrupt")
         assert results[0] == results[1]
-        assert _observe(sparse) == _observe(dense)
+        assert _observe(sparse) == _observe(ref)
     per_s, hist_s = [0] * N_OWNERS, [0, 0, 0, 0]
     per_d, hist_d = [0] * N_OWNERS, [0, 0, 0, 0]
     hist_s[sparse.occupancy_into(per_s)] += 1
-    hist_d[dense.occupancy_into(per_d)] += 1
+    hist_d[ref.occupancy_into(per_d)] += 1
     assert (per_s, hist_s) == (per_d, hist_d)
 
 

@@ -56,15 +56,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_after(-1.0, lambda: None)
 
-    def test_run_until_stops_at_limit(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(1.0, lambda: seen.append(1))
-        sim.schedule(10.0, lambda: seen.append(10))
-        sim.run(until=5.0)
-        assert seen == [1]
-        assert sim.pending_events == 1
-
     def test_empty_run_returns_zero(self):
         assert Simulator().run() == 0.0
 

@@ -1,9 +1,10 @@
-"""The inline page-access cache (fast path): determinism and edge cases.
+"""The inline page-access cache (fast path): gating and edge cases.
 
 The fast path is a pure wall-clock optimization — a warm access skips
 protocol dispatch entirely, which is only sound if the skipped dispatch
-would have charged nothing and mutated nothing. The determinism tests
-enforce that end to end: a run with the fast path enabled must produce
+would have charged nothing and mutated nothing. The parity suite
+(``tests/test_parity.py``, pairs ``fastpath`` and ``fastpath_observed``)
+enforces that end to end: a run with the fast path enabled must produce
 **byte-identical** statistics and final data to the same run forced down
 the slow path, for every protocol, with and without the observers
 (checker + tracer) attached.
@@ -18,57 +19,13 @@ view of the owner's frame.
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from repro import MachineConfig, run_app
 from repro.apps import make_app
-from repro.runtime.api import fastpath_enabled
 from repro.runtime.env import WorkerEnv
 from repro.runtime.program import ParallelRuntime
 
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
-OBSERVED = replace(SMALL, checking=True, tracing=True)
-
-
-def _fingerprint(result, app):
-    """Everything a run produces, for byte-identical comparison."""
-    stats = result.stats
-    return (
-        stats.exec_time_us,
-        dict(stats.aggregate.counters),
-        dict(stats.aggregate.buckets),
-        stats.mc_traffic_bytes,
-        [(dict(ps.counters), dict(ps.buckets)) for ps in stats.per_proc],
-        {name: result.array(name).tobytes()
-         for name in app.result_arrays(app.small_params())},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Determinism: fast path vs forced slow path.
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("protocol", ["2L", "2LS", "1LD", "1L"])
-@pytest.mark.parametrize("app_name", ["SOR", "Water"])
-@pytest.mark.parametrize("observers", ["off", "on"])
-def test_fastpath_matches_forced_slowpath(app_name, protocol, observers):
-    cfg = SMALL if observers == "off" else OBSERVED
-    app = make_app(app_name)
-    fast = run_app(app, app.small_params(), cfg, protocol)
-    slow_app = make_app(app_name)
-    slow = run_app(slow_app, slow_app.small_params(),
-                   replace(cfg, fastpath=False), protocol)
-    assert _fingerprint(fast, app) == _fingerprint(slow, slow_app)
-
-
-def test_env_var_forces_slow_path(monkeypatch):
-    monkeypatch.setenv("CASHMERE_NO_FASTPATH", "1")
-    assert not fastpath_enabled(SMALL)
-    app = make_app("SOR")
-    rt = ParallelRuntime(app, app.small_params(), SMALL, "2L")
-    assert rt.fastpath is False
-    env = WorkerEnv(rt, rt.cluster.processors[0])
-    assert not env._fast_read and not env._fast_write
 
 
 def test_checker_sees_every_per_word_access():

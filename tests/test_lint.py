@@ -34,7 +34,7 @@ def _fixture(kind: str, rule: str) -> str:
 @pytest.mark.parametrize("rule", FIXTURE_RULES)
 def test_bad_fixture_triggers_rule(rule):
     path = _fixture("bad", rule)
-    if not os.path.exists(path):  # D105's good twin is config.py
+    if not os.path.exists(path):  # D105's good twin is sweep.py
         pytest.fail(f"no bad fixture for {rule}")
     result = run([path])
     fired = {d.rule for d in result.diagnostics}
@@ -46,8 +46,8 @@ def test_bad_fixture_triggers_rule(rule):
 @pytest.mark.parametrize("rule", FIXTURE_RULES)
 def test_good_fixture_is_clean(rule):
     if rule == "D105":
-        # Sanctioned-module exemption: the good twin is named config.py.
-        path = os.path.join(FIXTURES, "good", "config.py")
+        # Sanctioned-module exemption: the good twin is named sweep.py.
+        path = os.path.join(FIXTURES, "good", "sweep.py")
     else:
         path = _fixture("good", rule)
     result = run([path])

@@ -6,15 +6,16 @@ path one layer up: a batched region execution must produce
 through the per-step interpreter. The parity tests enforce that end to
 end for every kernelized app (SOR, Water, LU) under every protocol, on
 both a batching-friendly solo placement and a lockstep-contended
-multi-node one, with and without the observers attached (observers force
-per-step interpretation, so those runs double as fallback-parity runs).
+multi-node one. The observed fallback (observers force per-step
+interpretation) is the ``lowering_observed`` pair of the parity suite
+(``tests/test_parity.py``), which shares this file's fingerprint.
 
 The remaining tests cover the pipeline's three stages directly: the
 stage-1 lowerability proof (sync calls and ``yield from`` are hard
 errors, legal bodies produce a report), the stage-2 descriptors, and the
-stage-3 gating/adaptive machinery (env-var kill switch, observer and
-fault-injection suppression, write-through protocols, the sequential
-environment, empty regions, and the steps-per-batch fallback policy).
+stage-3 gating/adaptive machinery (observer and fault-injection
+suppression, write-through protocols, the sequential environment, empty
+regions, and the steps-per-batch fallback policy).
 """
 
 import ast
@@ -30,34 +31,20 @@ from repro.config import FaultConfig
 from repro.errors import LoweringError
 from repro.lower import (READ, WRITE, RegionKernel, analyze_region,
                          check_kernel_class)
-from repro.runtime.api import lowering_enabled
 from repro.runtime.env import WorkerEnv
 from repro.runtime.program import ParallelRuntime
 from repro.runtime.sequential import run_sequential
 
+from .test_parity import fingerprint
+
 SOLO = MachineConfig(nodes=1, procs_per_node=1, page_bytes=512)
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
-OBSERVED = replace(SMALL, checking=True, tracing=True)
-
-
-def _fingerprint(result, app):
-    """Everything a run produces, for byte-identical comparison."""
-    stats = result.stats
-    return (
-        stats.exec_time_us,
-        dict(stats.aggregate.counters),
-        dict(stats.aggregate.buckets),
-        stats.mc_traffic_bytes,
-        [(dict(ps.counters), dict(ps.buckets)) for ps in stats.per_proc],
-        {name: result.array(name).tobytes()
-         for name in app.result_arrays(app.small_params())},
-    )
 
 
 def _run(app_name, cfg, protocol):
     app = make_app(app_name)
-    return _fingerprint(run_app(app, app.small_params(), cfg, protocol),
-                        app)
+    params = app.small_params()
+    return fingerprint(run_app(app, params, cfg, protocol), app, params)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +55,7 @@ def _run(app_name, cfg, protocol):
 @pytest.mark.parametrize("app_name", ["SOR", "Water", "LU", "Gauss",
                                       "Em3d", "Ilink"])
 @pytest.mark.parametrize("placement", ["solo", "clustered"])
-def test_lowered_matches_interpreted(app_name, protocol, placement,
-                                     monkeypatch):
+def test_lowered_matches_interpreted(app_name, protocol, placement):
     """The core parity bar (the PR 3 fast-vs-forced-slow pattern, one
     layer up): same stats, same clocks, same result bytes. ``solo``
     exercises long batches; ``clustered`` exercises the lockstep
@@ -78,29 +64,6 @@ def test_lowered_matches_interpreted(app_name, protocol, placement,
     lowered = _run(app_name, cfg, protocol)
     interpreted = _run(app_name, replace(cfg, lowering=False), protocol)
     assert lowered == interpreted
-
-
-@pytest.mark.parametrize("protocol", ["2L", "2LS", "1LD", "1L"])
-@pytest.mark.parametrize("app_name", ["SOR", "Water"])
-def test_observers_fall_back_byte_identically(app_name, protocol):
-    """Observers force per-step interpretation; an observed run of a
-    kernelized app must match an observed run with lowering configured
-    off — i.e. the fallback really is the old fastpath, bit for bit."""
-    observed = _run(app_name, OBSERVED, protocol)
-    forced = _run(app_name, replace(OBSERVED, lowering=False), protocol)
-    assert observed == forced
-
-
-def test_env_var_forces_interpreter(monkeypatch):
-    """``CASHMERE_NO_LOWERING`` is the whole-process kill switch — and a
-    killed run stays byte-identical to a lowered one."""
-    lowered = _run("SOR", SOLO, "2L")
-    monkeypatch.setenv("CASHMERE_NO_LOWERING", "1")
-    assert not lowering_enabled(SOLO)
-    app = make_app("SOR")
-    rt = ParallelRuntime(app, app.small_params(), SOLO, "2L")
-    assert rt.lowering is False
-    assert _run("SOR", SOLO, "2L") == lowered
 
 
 # ---------------------------------------------------------------------------

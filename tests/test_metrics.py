@@ -1,10 +1,11 @@
-"""The metrics subsystem: sampled series, parity, the sqlite run store,
-the trend/regression dashboard, and the ``metrics`` CLI.
+"""The metrics subsystem: sampled series, the sqlite run store, the
+trend/regression dashboard, and the ``metrics`` CLI.
 
 The central promise mirrors the checker's and the tracer's: metrics
 collection is strictly observational, so a metered run and an unmetered
 run of the same program produce byte-identical statistics *and result
-arrays* — under every protocol. And because the simulator is
+arrays* — under every protocol (the ``metrics`` pair of
+``tests/test_parity.py``). And because the simulator is
 deterministic, the same metered run recorded twice yields identical
 series, making any series change between source revisions a real
 behavioral difference.
@@ -13,47 +14,18 @@ behavioral difference.
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro import MachineConfig, metering, run_app
+from repro import MachineConfig, run_app
 from repro.apps import make_app
 from repro.metrics import DEFAULT_INTERVAL_US, MetricsCollector
 from repro.metrics.dashboard import TrendReport, render_html, sparkline
 from repro.metrics.store import (BENCH_SCHEMAS, STORE_SCHEMA, RunStore,
                                  StoreError)
-from repro.runtime.api import metrics_enabled
+from repro.runtime.program import ParallelRuntime
 
 SMALL = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
 METERED = replace(SMALL, metrics=True)
-
-
-# ---------------------------------------------------------------------------
-# Parity: metrics must not perturb the simulation.
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("protocol", ["2L", "2LS", "1LD", "1L"])
-@pytest.mark.parametrize("app_name", ["SOR", "Water"])
-def test_metrics_do_not_perturb_run(app_name, protocol):
-    app = make_app(app_name)
-    plain = run_app(app, app.small_params(), SMALL, protocol)
-    metered = run_app(make_app(app_name), app.small_params(), METERED,
-                      protocol)
-
-    assert metered.exec_time_us == plain.exec_time_us
-    assert metered.stats.aggregate.counters == \
-        plain.stats.aggregate.counters
-    assert metered.stats.aggregate.buckets == plain.stats.aggregate.buckets
-    assert metered.stats.mc_traffic_bytes == plain.stats.mc_traffic_bytes
-    for m_ps, p_ps in zip(metered.stats.per_proc, plain.stats.per_proc):
-        assert m_ps.counters == p_ps.counters
-        assert m_ps.buckets == p_ps.buckets
-    for name in app.result_arrays(app.small_params()):
-        assert np.array_equal(metered.array(name), plain.array(name))
-
-    assert plain.metrics is None
-    assert metered.metrics is not None
-    assert metered.metrics.num_samples > 0
 
 
 def test_same_run_recorded_twice_yields_identical_series():
@@ -65,28 +37,22 @@ def test_same_run_recorded_twice_yields_identical_series():
 
 
 # ---------------------------------------------------------------------------
-# Wiring: config flag, context manager, RunResult.metrics.
+# Wiring: config flag, RunResult.metrics.
 # ---------------------------------------------------------------------------
 
 class TestWiring:
-    def test_metering_context_manager(self):
-        plain = MachineConfig()
-        assert not metrics_enabled(plain)
-        with metering():
-            assert metrics_enabled(plain)
-            with metering():          # re-entrant
-                assert metrics_enabled(plain)
-            assert metrics_enabled(plain)
-        assert not metrics_enabled(plain)
-
     def test_config_flag(self):
-        assert metrics_enabled(MachineConfig(metrics=True))
-
-    def test_context_manager_attaches_collector(self):
         app = make_app("SOR")
-        with metering():
-            result = run_app(app, app.small_params(), SMALL, "2L")
+        assert ParallelRuntime(app, app.small_params(), SMALL,
+                               "2L").metrics is None
+        assert isinstance(ParallelRuntime(app, app.small_params(), METERED,
+                                          "2L").metrics, MetricsCollector)
+
+    def test_config_flag_attaches_collector(self):
+        app = make_app("SOR")
+        result = run_app(app, app.small_params(), METERED, "2L")
         assert result.metrics is not None
+        assert result.metrics.num_samples > 0
         assert result.metrics.meta["app"] == "SOR"
         assert result.metrics.meta["protocol"] == "2L"
 

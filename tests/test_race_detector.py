@@ -8,6 +8,8 @@ corruption — injected behind the protocol's back — must raise a
 structured :class:`CoherenceViolation` naming the divergent word.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import CheckContext, attach_checker
@@ -15,7 +17,6 @@ from repro.cluster.machine import Cluster
 from repro.config import MachineConfig
 from repro.errors import CoherenceViolation, DataRaceError
 from repro.protocol import make_protocol
-from repro.runtime import checking
 from repro.sim.process import Compute, ProcessGroup
 from repro.sync import Barrier, FlagSet, MCLock
 
@@ -328,7 +329,7 @@ def test_oracle_skips_value_checks_on_racy_words():
 
 
 # --------------------------------------------------------------------------
-# End-to-end wiring: config flag, context manager, stats surfacing.
+# End-to-end wiring: config flag, stats surfacing.
 # --------------------------------------------------------------------------
 
 def _sor_app():
@@ -351,17 +352,8 @@ def test_run_app_under_config_flag():
     assert result.stats.counter("check_events") > 0
     assert result.stats.counter("check_vc_merges") > 0
     assert result.stats.counter("check_races") == 0
-
-
-def test_run_app_under_checking_context_manager():
-    from repro.runtime import run_app
-    app, params = _sor_app()
-    config = MachineConfig(nodes=2, procs_per_node=2, page_bytes=512)
-    with checking():
-        result = run_app(app, params, config, protocol="2LS")
-    assert result.runtime.checker is not None
-    assert result.stats.counter("check_events") > 0
-    # Outside the block, checking reverts to the config flag (off here).
-    result = run_app(app, params, config, protocol="2LS")
+    # With the flag off, no checker is attached and nothing is counted.
+    result = run_app(app, params, replace(config, checking=False),
+                     protocol="2L")
     assert result.runtime.checker is None
     assert result.stats.counter("check_events") == 0

@@ -4,7 +4,9 @@ Chrome trace export, and the contention profiler.
 The central promise is the determinism one: tracing is strictly
 observational, so a traced run and an untraced run of the same program
 must produce byte-identical statistics — execution time, every counter,
-every time bucket, every traffic category — under every protocol.
+every time bucket, every traffic category — under every protocol. The
+parity suite (``tests/test_parity.py``, pair ``tracing``) checks that;
+this file checks what the tracer records.
 """
 
 import json
@@ -12,9 +14,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro import MachineConfig, run_app, tracing
+from repro import MachineConfig, run_app
 from repro.apps import make_app
-from repro.runtime.api import tracing_enabled
+from repro.runtime.program import ParallelRuntime
 from repro.trace import (KIND_FAMILY, NO_PROC, ContentionProfile, TraceEvent,
                          Tracer, to_chrome_trace, write_chrome_trace)
 
@@ -31,30 +33,6 @@ class _FakeProc:
     def __init__(self, gid, nid):
         self.global_id = gid
         self.node = _FakeNode(nid)
-
-
-# ---------------------------------------------------------------------------
-# Determinism: tracing must not perturb the simulation.
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("protocol", ["2L", "2LS", "1LD", "1L"])
-@pytest.mark.parametrize("app_name", ["SOR", "Water"])
-def test_tracing_does_not_perturb_run(app_name, protocol):
-    app = make_app(app_name)
-    plain = run_app(app, app.small_params(), SMALL, protocol)
-    traced = run_app(make_app(app_name), app.small_params(), TRACED,
-                     protocol)
-
-    assert traced.exec_time_us == plain.exec_time_us
-    assert traced.stats.aggregate.counters == plain.stats.aggregate.counters
-    assert traced.stats.aggregate.buckets == plain.stats.aggregate.buckets
-    assert traced.stats.mc_traffic_bytes == plain.stats.mc_traffic_bytes
-    for t_ps, p_ps in zip(traced.stats.per_proc, plain.stats.per_proc):
-        assert t_ps.counters == p_ps.counters
-        assert t_ps.buckets == p_ps.buckets
-
-    assert plain.trace is None
-    assert traced.trace is not None and len(traced.trace) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +98,21 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Wiring: config flag, context manager, RunResult.trace.
+# Wiring: config flag, RunResult.trace.
 # ---------------------------------------------------------------------------
 
 class TestWiring:
-    def test_tracing_context_manager(self):
-        plain = MachineConfig()
-        assert not tracing_enabled(plain)
-        with tracing():
-            assert tracing_enabled(plain)
-            with tracing():           # re-entrant
-                assert tracing_enabled(plain)
-            assert tracing_enabled(plain)
-        assert not tracing_enabled(plain)
-
     def test_config_flag(self):
-        assert tracing_enabled(MachineConfig(tracing=True))
-
-    def test_context_manager_attaches_tracer(self):
         app = make_app("SOR")
-        with tracing():
-            result = run_app(app, app.small_params(), SMALL, "2L")
-        assert result.trace is not None
+        assert ParallelRuntime(app, app.small_params(), SMALL,
+                               "2L").trace is None
+        assert isinstance(ParallelRuntime(app, app.small_params(), TRACED,
+                                          "2L").trace, Tracer)
+
+    def test_config_flag_attaches_tracer(self):
+        app = make_app("SOR")
+        result = run_app(app, app.small_params(), TRACED, "2L")
+        assert result.trace is not None and len(result.trace) > 0
         assert result.trace.meta["app"] == "SOR"
         assert result.trace.meta["protocol"] == "2L"
         assert result.trace.meta["exec_time_us"] == result.exec_time_us
